@@ -1,6 +1,7 @@
 package libbat
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -30,10 +31,10 @@ func TestDatasetAccessTelemetry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := ds.QueryTagged("test:/points", Query{
+	if _, err := ds.QueryBatches(context.Background(), "test:/points", Query{
 		Bounds:  &hot,
 		Filters: []AttrFilter{{Attr: 0, Min: 0, Max: 50}},
-	}, func(Vec3, []float64) error { return nil }); err != nil {
+	}, func(*Batch) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 

@@ -69,8 +69,9 @@ func readBenchCorpus(n int) (*particles.Set, geom.Box) {
 // timeQuery runs one query under cfg and returns the wall time and count.
 func timeQuery(f *bat.File, q bat.Query, cfg bat.QueryConfig) (time.Duration, int64, error) {
 	var n int64
+	f.SetQueryConfig(cfg)
 	start := time.Now()
-	_, err := f.QueryWithConfig(q, cfg, func(geom.Vec3, []float64) error {
+	err := f.Query(q, func(geom.Vec3, []float64) error {
 		n++
 		return nil
 	})

@@ -445,40 +445,50 @@ func (s *server) points(w http.ResponseWriter, r *http.Request) {
 		attr = a
 	}
 
-	// Stream xyz (and optionally one attribute) as little-endian float32.
-	// The Content-Type only commits once the first point is written, so a
-	// query that fails before producing any data can still return a real
-	// error status instead of an empty 200.
-	buf := make([]byte, 16)
+	// Stream xyz (and optionally one attribute) as little-endian float32,
+	// one Write per batch from a reused buffer. The Content-Type only
+	// commits once the first batch is written, so a query that fails
+	// before producing any data can still return a real error status
+	// instead of an empty 200.
 	stride := 12
 	if attr >= 0 {
 		stride = 16
 	}
-	var points int64
+	var buf []byte
+	var sent int64 // bytes that reached the wire
 	qStart := time.Now()
-	err := ds.QueryTaggedCtx(ctx, "batserve:/points", q, func(p libbat.Vec3, attrs []float64) error {
-		if points == 0 {
+	_, err := ds.QueryBatches(ctx, "batserve:/points", q, func(b *libbat.Batch) error {
+		if sent == 0 {
 			// Declare the trailers before the status commits: if the query
 			// dies mid-stream the truncation is announced in-band instead of
 			// silently ending a 200.
 			w.Header().Set("Trailer", "X-Batserve-Status, X-Batserve-Points")
 			w.Header().Set("Content-Type", "application/octet-stream")
 		}
-		points++
-		binary.LittleEndian.PutUint32(buf[0:], math.Float32bits(float32(p.X)))
-		binary.LittleEndian.PutUint32(buf[4:], math.Float32bits(float32(p.Y)))
-		binary.LittleEndian.PutUint32(buf[8:], math.Float32bits(float32(p.Z)))
-		if attr >= 0 {
-			binary.LittleEndian.PutUint32(buf[12:], math.Float32bits(float32(attrs[attr])))
+		n := len(b.Sel) * stride
+		if cap(buf) < n {
+			buf = make([]byte, n)
 		}
-		_, err := w.Write(buf[:stride])
+		buf = buf[:n]
+		for i, j := range b.Sel {
+			o := buf[i*stride:]
+			binary.LittleEndian.PutUint32(o[0:], math.Float32bits(b.X[j]))
+			binary.LittleEndian.PutUint32(o[4:], math.Float32bits(b.Y[j]))
+			binary.LittleEndian.PutUint32(o[8:], math.Float32bits(b.Z[j]))
+			if attr >= 0 {
+				binary.LittleEndian.PutUint32(o[12:], math.Float32bits(float32(b.Attrs[attr][j])))
+			}
+		}
+		n, err := w.Write(buf)
+		sent += int64(n)
 		return err
 	})
+	points := sent / int64(stride) // whole points only
 	s.col.Histogram("query_duration_seconds", obs.DefLatencyBuckets(),
 		obs.L("step", strconv.Itoa(step))).Observe(time.Since(qStart).Seconds())
 	s.col.Add("points_streamed_total", points)
 	if err != nil {
-		if points == 0 {
+		if sent == 0 {
 			// Nothing on the wire yet: a real error status is still possible.
 			if isCtxErr(err) {
 				// Deadline (or client gone) before the first point. 504 with
@@ -508,7 +518,7 @@ func (s *server) points(w http.ResponseWriter, r *http.Request) {
 		log.Printf("batserve: query aborted after %d points: %v", points, err)
 		return
 	}
-	if points == 0 {
+	if sent == 0 {
 		w.Header().Set("Content-Type", "application/octet-stream")
 		return
 	}

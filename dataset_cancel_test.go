@@ -13,7 +13,7 @@ import (
 )
 
 // TestDatasetQueryCtxStalledLeaf: a Dataset over storage whose leaf reads
-// stall indefinitely must return from QueryCtx within the caller's
+// stall indefinitely must return from a ctx query within the caller's
 // deadline, leak nothing, and serve complete results once the stall
 // clears — the Dataset-level half of the acceptance criterion.
 func TestDatasetQueryCtxStalledLeaf(t *testing.T) {
@@ -31,12 +31,12 @@ func TestDatasetQueryCtxStalledLeaf(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err = ds.QueryCtx(ctx, Query{}, func(Vec3, []float64) error { return nil })
+	_, err = ds.QueryBatches(ctx, "dataset", Query{}, func(*Batch) error { return nil })
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("stalled QueryCtx = %v, want DeadlineExceeded", err)
+		t.Fatalf("stalled query = %v, want DeadlineExceeded", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("stalled QueryCtx returned after %v, want bounded by the 200ms deadline", elapsed)
+		t.Fatalf("stalled query returned after %v, want bounded by the 200ms deadline", elapsed)
 	}
 
 	// Release the stall: the leaf slot must not be wedged or poisoned by
@@ -77,7 +77,7 @@ func TestDatasetQueryCtxDetach(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(),
 				time.Duration(50+i*25)*time.Millisecond)
 			defer cancel()
-			err := ds.QueryCtx(ctx, Query{}, func(Vec3, []float64) error { return nil })
+			_, err := ds.QueryBatches(ctx, "dataset", Query{}, func(*Batch) error { return nil })
 			if !errors.Is(err, context.DeadlineExceeded) {
 				t.Errorf("waiter %d = %v, want DeadlineExceeded", i, err)
 			}

@@ -1,6 +1,7 @@
 package bat
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -23,7 +24,7 @@ func accessSnapshotFor(t *testing.T, buf []byte, cfg QueryConfig, queries []Quer
 	rec := access.New("t", f.Domain, access.Options{GridBits: 3})
 	f.SetAccessRecorder(rec, 7)
 	for _, q := range queries {
-		if _, err := f.QueryWithConfig(q, cfg, func(geom.Vec3, []float64) error { return nil }); err != nil {
+		if _, err := queryWithConfig(context.Background(), f, q, cfg, func(geom.Vec3, []float64) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -106,7 +107,7 @@ func TestConcurrentAccessRecorder(t *testing.T) {
 			wg.Add(1)
 			go func(cfg QueryConfig) {
 				defer wg.Done()
-				st, err := f.QueryWithConfig(Query{Bounds: &box}, cfg, func(geom.Vec3, []float64) error { return nil })
+				st, err := queryWithConfig(context.Background(), f, Query{Bounds: &box}, cfg, func(geom.Vec3, []float64) error { return nil })
 				if err != nil {
 					errs <- err
 					return

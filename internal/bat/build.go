@@ -265,6 +265,9 @@ type group struct {
 // spatial region the Morton quantization is computed against (the
 // aggregation-tree leaf bounds); it must contain all particles.
 //
+// Every position and attribute value must be finite; NaN or ±Inf input
+// fails with a *particles.NonFiniteError.
+//
 // The build is deterministic: for a given set, domain, and layout options
 // the returned bytes are identical regardless of Parallel and Workers.
 func Build(set *particles.Set, domain geom.Box, cfg BuildConfig) (*Built, error) {
@@ -274,6 +277,9 @@ func Build(set *particles.Set, domain geom.Box, cfg BuildConfig) (*Built, error)
 	if cfg.AttrErrorBounds != nil && len(cfg.AttrErrorBounds) != set.Schema.NumAttrs() {
 		return nil, fmt.Errorf("bat: %d per-attribute error bounds for %d attributes",
 			len(cfg.AttrErrorBounds), set.Schema.NumAttrs())
+	}
+	if err := set.CheckFinite(); err != nil {
+		return nil, err
 	}
 	n := set.Len()
 	workers := cfg.effectiveWorkers()

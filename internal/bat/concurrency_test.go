@@ -1,6 +1,7 @@
 package bat
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -32,17 +33,23 @@ func (v visitRec) key() string {
 	return fmt.Sprintf("%.17g,%.17g,%.17g|%v", v.p.X, v.p.Y, v.p.Z, v.attrs)
 }
 
+// queryWithConfig runs one per-particle query under an explicit config,
+// which concurrent tests vary on a shared File.
+func queryWithConfig(ctx context.Context, f *File, q Query, cfg QueryConfig, visit Visitor) (QueryStats, error) {
+	return f.query(ctx, q, cfg, visit.Batches())
+}
+
 func collectVisits(t *testing.T, f *File, q Query, cfg QueryConfig) ([]visitRec, QueryStats) {
 	t.Helper()
 	var out []visitRec
-	stats, err := f.QueryWithConfig(q, cfg, func(p geom.Vec3, attrs []float64) error {
+	stats, err := queryWithConfig(context.Background(), f, q, cfg, func(p geom.Vec3, attrs []float64) error {
 		a := make([]float64, len(attrs))
 		copy(a, attrs)
 		out = append(out, visitRec{p: p, attrs: a})
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("QueryWithConfig(%+v): %v", cfg, err)
+		t.Fatalf("query under %+v: %v", cfg, err)
 	}
 	return out, stats
 }
@@ -100,7 +107,7 @@ func TestConcurrentQuerySharedFile(t *testing.T) {
 			go func(cfg QueryConfig) {
 				defer wg.Done()
 				var n int64
-				_, err := f.QueryWithConfig(Query{Bounds: &box}, cfg, func(geom.Vec3, []float64) error {
+				_, err := queryWithConfig(context.Background(), f, Query{Bounds: &box}, cfg, func(geom.Vec3, []float64) error {
 					n++
 					return nil
 				})
@@ -235,7 +242,7 @@ func TestParallelVisitorError(t *testing.T) {
 		{Workers: 4, Ordered: true},
 	} {
 		var n int
-		_, err := f.QueryWithConfig(Query{}, cfg, func(geom.Vec3, []float64) error {
+		_, err := queryWithConfig(context.Background(), f, Query{}, cfg, func(geom.Vec3, []float64) error {
 			n++
 			if n == 100 {
 				return boom

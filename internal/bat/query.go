@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
-	"runtime"
+	"sync/atomic"
 
 	"libbat/internal/bitmap"
 	"libbat/internal/geom"
@@ -39,23 +39,89 @@ type Query struct {
 }
 
 // Visitor receives each particle matched by a query. Returning a non-nil
-// error aborts the traversal.
+// error aborts the traversal. attrs is reused between calls: it is valid
+// only until the visitor returns.
 type Visitor func(p geom.Vec3, attrs []float64) error
+
+// Batch is one treelet's share of a query's answer: views of the treelet's
+// decoded columns plus the selection vector Sel of the indices that passed
+// every check, in visit order. The i-th matching particle is at
+// (X[Sel[i]], Y[Sel[i]], Z[Sel[i]]) with attribute a in Attrs[a][Sel[i]].
+//
+// The columns are the cached treelet itself, shared with concurrent
+// queries, and Sel is reused for the next batch: a Batch is valid only
+// during the BatchVisitor call, and neither may be modified.
+type Batch struct {
+	X, Y, Z []float32
+	Attrs   [][]float64
+	Sel     []uint32
+}
+
+// Pos returns the position of the i-th selected particle.
+func (b *Batch) Pos(i int) geom.Vec3 {
+	j := b.Sel[i]
+	return geom.V3(float64(b.X[j]), float64(b.Y[j]), float64(b.Z[j]))
+}
+
+// Collect returns a batch visitor that appends every selected particle to
+// s, whose schema must be the file's.
+func Collect(s *particles.Set) BatchVisitor {
+	return func(b *Batch) error {
+		for _, j := range b.Sel {
+			s.X = append(s.X, b.X[j])
+			s.Y = append(s.Y, b.Y[j])
+			s.Z = append(s.Z, b.Z[j])
+		}
+		for a, col := range b.Attrs {
+			dst := s.Attrs[a]
+			for _, j := range b.Sel {
+				dst = append(dst, col[j])
+			}
+			s.Attrs[a] = dst
+		}
+		return nil
+	}
+}
+
+// BatchVisitor receives the non-empty batches of a query, one call per
+// matching treelet, never concurrently. Returning a non-nil error aborts
+// the traversal.
+type BatchVisitor func(b *Batch) error
+
+// Batches adapts a per-particle visitor to batches. One attribute buffer
+// serves every particle of every batch.
+func (visit Visitor) Batches() BatchVisitor {
+	var attrs []float64
+	return func(b *Batch) error {
+		if attrs == nil {
+			attrs = make([]float64, len(b.Attrs))
+		}
+		for i, j := range b.Sel {
+			for a, col := range b.Attrs {
+				attrs[a] = col[j]
+			}
+			if err := visit(b.Pos(i), attrs); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
 
 // QueryConfig tunes how a traversal executes. It never changes which
 // particles a query matches — only how the work is scheduled.
 //
-// The zero value is the serial engine: one goroutine, visits in
-// deterministic tree order, no readahead.
+// The zero value runs the engine inline on the calling goroutine: visits
+// in deterministic tree order, no readahead.
 type QueryConfig struct {
-	// Workers is the number of traversal goroutines. 0 or 1 selects the
-	// serial engine, whose visit sequence is identical to the pre-parallel
-	// reader. Negative selects GOMAXPROCS.
+	// Workers is the number of traversal goroutines. 0 or 1 runs the
+	// engine inline on the caller's goroutine. Negative selects
+	// GOMAXPROCS.
 	Workers int
 
-	// Ordered, when true with Workers > 1, delivers visits in the same
-	// deterministic treelet order as the serial engine (completed treelets
-	// are buffered until their turn). When false, visits arrive as treelets
+	// Ordered, when true with Workers > 1, delivers batches in the same
+	// deterministic treelet order as Workers=1 (completed treelets are
+	// buffered until their turn). When false, batches arrive as treelets
 	// complete — same particle multiset, lower latency and memory.
 	Ordered bool
 
@@ -63,17 +129,6 @@ type QueryConfig struct {
 	// while one is being traversed (0 = off). Prefetches are best-effort
 	// and bounded; they only warm the cache.
 	Readahead int
-}
-
-// effectiveWorkers resolves the Workers field to a concrete count.
-func (c QueryConfig) effectiveWorkers() int {
-	if c.Workers < 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	if c.Workers == 0 {
-		return 1
-	}
-	return c.Workers
 }
 
 // qualityToDepth log-remaps a quality level in [0,1] to a continuous
@@ -112,8 +167,8 @@ func portion(d, depth int, frac float64) float64 {
 }
 
 // queryState is the precomputed, read-only filter state of one traversal.
-// It is shared by every worker goroutine of a parallel query, so nothing
-// in it may be mutated after prepare returns.
+// It is shared by every worker goroutine of a query, so nothing in it may
+// be mutated after prepare returns.
 type queryState struct {
 	q     Query
 	masks []bitmap.Bitmap // query bitmap per filter, in Filters order
@@ -121,22 +176,6 @@ type queryState struct {
 	prevF float64
 	curD  int
 	curF  float64
-}
-
-// traversalCounters accumulates per-traversal statistics. Each goroutine
-// owns its own instance; parallel runs merge them on delivery.
-type traversalCounters struct {
-	visited  int64
-	pruned   int64
-	falsePos int64
-	treelets int64
-}
-
-func (c *traversalCounters) add(o traversalCounters) {
-	c.visited += o.visited
-	c.pruned += o.pruned
-	c.falsePos += o.falsePos
-	c.treelets += o.treelets
 }
 
 // prepare validates the query against the file and computes the bitmap
@@ -156,10 +195,20 @@ func (f *File) prepare(q Query) (*queryState, bool) {
 	}
 	s.masks = make([]bitmap.Bitmap, len(q.Filters))
 	for i, flt := range q.Filters {
-		if flt.Attr < 0 || flt.Attr >= f.Schema.NumAttrs() {
+		// !(Min <= Max) also rejects NaN bounds, which match nothing.
+		if flt.Attr < 0 || flt.Attr >= f.Schema.NumAttrs() || !(flt.Min <= flt.Max) {
 			return s, false
 		}
-		m := bitmap.OfQuery(flt.Min, flt.Max, f.Ranges[flt.Attr])
+		// Bitmaps and ranges summarize values before storage, but the
+		// exact checks see decoded values: prune with the interval widened
+		// by the largest declared (LOD-scaled) error so no decoded match
+		// is cut off.
+		var maxErr float64
+		if f.attrBounds != nil {
+			maxErr = f.attrBounds[flt.Attr] * f.lodScale
+		}
+		lo, hi := f.Schema.Attrs[flt.Attr].Type.PruneInterval(flt.Min, flt.Max, maxErr)
+		m := bitmap.OfQuery(lo, hi, f.Ranges[flt.Attr])
 		if m == 0 {
 			// The filter interval misses the file's local range entirely.
 			return s, false
@@ -179,21 +228,6 @@ func (s *queryState) nodePassesBitmaps(f *File, ids []bitmap.ID) bool {
 	return true
 }
 
-// pointPasses applies the exact false-positive checks (§V-A): point-in-box
-// and exact attribute intervals.
-func (s *queryState) pointPasses(p geom.Vec3, t *parsedTreelet, pi uint32) bool {
-	if s.q.Bounds != nil && !s.q.Bounds.Contains(p) {
-		return false
-	}
-	for _, flt := range s.q.Filters {
-		v := t.attrs[flt.Attr][pi]
-		if v < flt.Min || v > flt.Max {
-			return false
-		}
-	}
-	return true
-}
-
 // QueryStats reports what a traversal did: how many particles reached the
 // visitor, how many were rejected by the exact (false-positive) checks,
 // and how many subtrees the bitmaps and bounds pruned without touching
@@ -207,8 +241,16 @@ type QueryStats struct {
 	Treelets int64
 }
 
+// Add accumulates o into s.
+func (s *QueryStats) Add(o QueryStats) {
+	s.Visited += o.Visited
+	s.FalsePositives += o.FalsePositives
+	s.PrunedSubtrees += o.PrunedSubtrees
+	s.Treelets += o.Treelets
+}
+
 // Query traverses the file, invoking visit for every particle matching the
-// query, using the File's configured QueryConfig (serial by default).
+// query, using the File's configured QueryConfig (inline by default).
 // Particles are visited treelet by treelet in increasing depth order within
 // each treelet; with Workers > 1 and Ordered false, treelets may complete
 // out of order but the visited multiset is identical.
@@ -220,35 +262,24 @@ func (f *File) Query(q Query, visit Visitor) error {
 	return err
 }
 
-// QueryCtx is Query honoring ctx: when ctx ends, the traversal stops
-// promptly (workers observe the shared cancel flag per tree node, storage
-// reads abort) and ctx.Err() is returned. For uncanceled contexts the
-// visit sequence is byte-identical to Query's.
-func (f *File) QueryCtx(ctx context.Context, q Query, visit Visitor) error {
-	_, err := f.QueryWithStatsCtx(ctx, q, visit)
-	return err
-}
-
 // QueryWithStats is Query returning traversal statistics.
 func (f *File) QueryWithStats(q Query, visit Visitor) (QueryStats, error) {
-	return f.QueryWithConfig(q, f.queryConfig(), visit)
+	return f.QueryBatches(context.Background(), q, visit.Batches())
 }
 
-// QueryWithStatsCtx is QueryCtx returning traversal statistics.
-func (f *File) QueryWithStatsCtx(ctx context.Context, q Query, visit Visitor) (QueryStats, error) {
-	return f.QueryWithConfigCtx(ctx, q, f.queryConfig(), visit)
+// QueryBatches is the engine's entry point: it runs q under the File's
+// configured QueryConfig, handing visit one batch per treelet with
+// matches. Every other query method of File is a consumer of it. When ctx
+// ends the traversal stops promptly (workers observe the shared cancel
+// flag per tree node, storage reads abort) and ctx.Err() is returned.
+func (f *File) QueryBatches(ctx context.Context, q Query, visit BatchVisitor) (QueryStats, error) {
+	return f.query(ctx, q, f.queryConfig(), visit)
 }
 
-// QueryWithConfig runs one traversal under an explicit QueryConfig,
-// overriding the File-level configuration.
-func (f *File) QueryWithConfig(q Query, cfg QueryConfig, visit Visitor) (QueryStats, error) {
-	return f.QueryWithConfigCtx(context.Background(), q, cfg, visit)
-}
-
-// QueryWithConfigCtx is QueryWithConfig honoring ctx. The context is
-// bridged to the traversal's polled cancel flag via context.AfterFunc, so
-// per-node cancellation checks stay a single atomic load.
-func (f *File) QueryWithConfigCtx(ctx context.Context, q Query, cfg QueryConfig, visit Visitor) (QueryStats, error) {
+// query runs one traversal under cfg. The context is bridged to the
+// traversal's cancel flag via context.AfterFunc, so per-node cancellation
+// checks stay a single atomic load.
+func (f *File) query(ctx context.Context, q Query, cfg QueryConfig, visit BatchVisitor) (QueryStats, error) {
 	s, ok := f.prepare(q)
 	if !ok || len(f.leaves) == 0 {
 		return QueryStats{}, ctx.Err()
@@ -256,60 +287,41 @@ func (f *File) QueryWithConfigCtx(ctx context.Context, q Query, cfg QueryConfig,
 	for _, flt := range q.Filters {
 		f.access.TouchAttr(f.Schema.Attrs[flt.Attr].Name, 1)
 	}
-	var cancel *cancelFlag
+	cancel := new(atomic.Bool)
 	if ctx.Done() != nil {
-		cancel = &cancelFlag{}
-		stop := context.AfterFunc(ctx, cancel.set)
+		stop := context.AfterFunc(ctx, func() { cancel.Store(true) })
 		defer stop()
 	}
-	var tc traversalCounters
-	cands, err := f.selectTreelets(s, &tc)
+	var st QueryStats
+	cands, err := f.selectTreelets(s, &st)
 	if err == nil && len(cands) > 0 {
-		w := cfg.effectiveWorkers()
-		if w > len(cands) {
-			w = len(cands)
-		}
-		if w <= 1 {
-			err = f.runSerial(ctx, s, cands, cfg, &tc, visit, cancel)
-		} else {
-			err = f.runParallel(ctx, s, cands, cfg, w, &tc, visit, cancel)
-		}
+		err = f.run(ctx, s, cands, cfg, &st, visit, cancel)
 	}
-	if err == errTraversalCancelled {
-		// The flag is only ever set externally via ctx here; surface the
-		// context's error rather than the internal sentinel.
-		if cerr := ctx.Err(); cerr != nil {
-			err = cerr
-		}
+	// A traversal stopped by ctx surfaces the context's error rather than
+	// the internal sentinel.
+	if cerr := ctx.Err(); cerr != nil && (err == nil || err == errTraversalCancelled) {
+		err = cerr
 	}
-	if err == nil {
-		err = ctx.Err()
-	}
-	return QueryStats{
-		Visited:        tc.visited,
-		FalsePositives: tc.falsePos,
-		PrunedSubtrees: tc.pruned,
-		Treelets:       tc.treelets,
-	}, err
+	return st, err
 }
 
 // selectTreelets walks the shallow tree serially — it is in-memory and tiny
 // relative to the treelets — pruning by bounds and bitmaps, and returns the
 // surviving treelet leaves in deterministic left-to-right order. This list
-// is the unit of parallelism: both engines traverse exactly these treelets,
-// the serial one in this order.
-func (f *File) selectTreelets(s *queryState, tc *traversalCounters) ([]int, error) {
+// is the unit of parallelism: the engine traverses exactly these treelets,
+// and Workers=1 or Ordered delivers them in this order.
+func (f *File) selectTreelets(s *queryState, st *QueryStats) ([]int, error) {
 	if len(f.shallow) == 0 {
 		// Single-treelet file: the treelet's root node carries the bitmap
 		// summary, so traversal handles all pruning.
 		return []int{0}, nil
 	}
-	var out []int
+	out := make([]int, 0, len(f.leaves))
 	var walk func(ref int32, bounds geom.Box, depth int) error
 	walk = func(ref int32, bounds geom.Box, depth int) error {
 		if li, isLeaf := isShallowLeaf(ref); isLeaf {
 			if !s.nodePassesBitmaps(f, f.leaves[li].ids) {
-				tc.pruned++
+				st.PrunedSubtrees++
 				return nil
 			}
 			out = append(out, li)
@@ -320,11 +332,11 @@ func (f *File) selectTreelets(s *queryState, tc *traversalCounters) ([]int, erro
 		}
 		n := &f.shallow[ref]
 		if s.q.Bounds != nil && !s.q.Bounds.Overlaps(bounds) {
-			tc.pruned++
+			st.PrunedSubtrees++
 			return nil
 		}
 		if !s.nodePassesBitmaps(f, n.ids) {
-			tc.pruned++
+			st.PrunedSubtrees++
 			return nil
 		}
 		lo, hi := bounds.SplitAt(n.axis, n.pos)
@@ -345,159 +357,124 @@ func isShallowLeaf(ref int32) (int, bool) {
 	return 0, false
 }
 
-// emitFn receives each particle that passed the exact checks during one
-// treelet traversal. The serial engine calls the visitor directly; the
-// parallel engine appends to a batch for ordered delivery.
-type emitFn func(p geom.Vec3, t *parsedTreelet, pi uint32) error
-
 // errTraversalCancelled is returned (and swallowed by callers) when a
 // worker observes the shared cancel flag mid-treelet.
 var errTraversalCancelled = errors.New("bat: traversal cancelled")
 
-// traverseTreelet walks one parsed treelet depth-first, emitting each
-// node's particle window for the progressive quality range. It updates
-// tc.pruned/tc.falsePos; emit implementations account for visits. cancel,
-// when non-nil, is polled at each node so aborted parallel queries stop
-// promptly.
-func (s *queryState) traverseTreelet(f *File, t *parsedTreelet, tc *traversalCounters, emit emitFn, cancel *cancelFlag) error {
-	if len(t.nodes) == 0 {
-		return nil
-	}
-	var rec func(ni int32, depth int) error
-	rec = func(ni int32, depth int) error {
-		if depth > s.curD {
-			return nil
-		}
-		// Defense against corrupt files whose child links form a cycle.
-		if depth > maxSaneDepth {
-			return errCyclicTreelet
-		}
-		if cancel.isSet() {
-			return errTraversalCancelled
-		}
-		n := &t.nodes[ni]
-		if !s.nodePassesBitmaps(f, n.ids) {
-			tc.pruned++
-			return nil
-		}
-		// Emit this node's particle window for the quality increment.
-		p0 := portion(depth, s.prevD, s.prevF)
-		p1 := portion(depth, s.curD, s.curF)
-		if p1 > p0 {
-			// Floor both window edges so consecutive progressive reads
-			// tile exactly: a later read's lower edge equals this read's
-			// upper edge.
-			lo := uint32(float64(n.count) * p0)
-			hi := uint32(float64(n.count) * p1)
-			if hi > n.count {
-				hi = n.count
-			}
-			for pi := n.start + lo; pi < n.start+hi; pi++ {
-				p := geom.V3(float64(t.x[pi]), float64(t.y[pi]), float64(t.z[pi]))
-				if !s.pointPasses(p, t, pi) {
-					tc.falsePos++
-					continue
-				}
-				if err := emit(p, t, pi); err != nil {
-					return err
-				}
-			}
-		}
-		if n.axis == uint8(leafAxis) {
-			return nil
-		}
-		// Spatial pruning against the split plane.
-		if s.q.Bounds != nil {
-			ax := geom.Axis(n.axis)
-			if s.q.Bounds.Lower.Component(ax) >= n.pos {
-				return rec(n.right, depth+1)
-			}
-			if s.q.Bounds.Upper.Component(ax) < n.pos {
-				return rec(n.left, depth+1)
-			}
-		}
-		if err := rec(n.left, depth+1); err != nil {
-			return err
-		}
-		return rec(n.right, depth+1)
-	}
-	return rec(0, 0)
+// treeletScan is one treelet's traversal: it walks the node tree
+// depth-first and appends to sel every particle of each node's progressive
+// window that passes the exact checks. It counts pruned subtrees and false
+// positives into st; delivery counts visits. cancel is polled at each node
+// so aborted queries stop promptly.
+type treeletScan struct {
+	s      *queryState
+	f      *File
+	t      *parsedTreelet
+	st     *QueryStats
+	sel    []uint32
+	cancel *atomic.Bool
 }
 
-// runSerial traverses the candidate treelets one by one on the calling
-// goroutine, with visit order identical to the pre-parallel reader. A
-// sliding readahead window keeps the next cfg.Readahead treelets warming
-// in the cache while the current one is walked.
-func (f *File) runSerial(ctx context.Context, s *queryState, cands []int, cfg QueryConfig, tc *traversalCounters, visit Visitor, cancel *cancelFlag) error {
-	emit := func(p geom.Vec3, t *parsedTreelet, pi uint32) error {
-		attrs := make([]float64, len(t.attrs))
-		for a := range attrs {
-			attrs[a] = t.attrs[a][pi]
-		}
-		tc.visited++
-		return visit(p, attrs)
+func (sc *treeletScan) node(ni int32, depth int) error {
+	s := sc.s
+	if len(sc.t.nodes) == 0 || depth > s.curD {
+		return nil
 	}
-	for i, li := range cands {
-		if cancel.isSet() {
-			return errTraversalCancelled
+	// Defense against corrupt files whose child links form a cycle.
+	if depth > maxSaneDepth {
+		return errCyclicTreelet
+	}
+	if sc.cancel.Load() {
+		return errTraversalCancelled
+	}
+	n := &sc.t.nodes[ni]
+	if !s.nodePassesBitmaps(sc.f, n.ids) {
+		sc.st.PrunedSubtrees++
+		return nil
+	}
+	// Select this node's particle window for the quality increment.
+	p0 := portion(depth, s.prevD, s.prevF)
+	p1 := portion(depth, s.curD, s.curF)
+	if p1 > p0 {
+		// Floor both window edges so consecutive progressive reads
+		// tile exactly: a later read's lower edge equals this read's
+		// upper edge.
+		lo := uint32(float64(n.count) * p0)
+		hi := min(uint32(float64(n.count)*p1), n.count)
+		sc.window(n.start+lo, n.start+hi)
+	}
+	if n.axis == uint8(leafAxis) {
+		return nil
+	}
+	// Spatial pruning against the split plane.
+	if s.q.Bounds != nil {
+		ax := geom.Axis(n.axis)
+		if s.q.Bounds.Lower.Component(ax) >= n.pos {
+			return sc.node(n.right, depth+1)
 		}
-		// The AfterFunc that sets the flag runs on its own goroutine and
-		// may lag on a busy scheduler; a direct per-treelet check keeps
-		// cancellation prompt regardless.
-		if err := ctx.Err(); err != nil {
-			return err
+		if s.q.Bounds.Upper.Component(ax) < n.pos {
+			return sc.node(n.left, depth+1)
 		}
-		if cfg.Readahead > 0 {
-			if i == 0 {
-				for j := 1; j <= cfg.Readahead && j < len(cands); j++ {
-					f.prefetch(ctx, cands[j], cfg.Readahead)
-				}
-			} else if i+cfg.Readahead < len(cands) {
-				f.prefetch(ctx, cands[i+cfg.Readahead], cfg.Readahead)
+	}
+	if err := sc.node(n.left, depth+1); err != nil {
+		return err
+	}
+	return sc.node(n.right, depth+1)
+}
+
+// window applies the exact false-positive checks (§V-A) to particles
+// [lo, hi) as compare loops over the columns: the box test selects into
+// sel, then each attribute interval compacts the new selection in place.
+// The tests are written as v >= Min && v <= Max so a NaN never matches.
+func (sc *treeletScan) window(lo, hi uint32) {
+	base := len(sc.sel)
+	if b := sc.s.q.Bounds; b != nil {
+		x, y, z := sc.t.x, sc.t.y, sc.t.z
+		for i := lo; i < hi; i++ {
+			px, py, pz := float64(x[i]), float64(y[i]), float64(z[i])
+			if px >= b.Lower.X && px <= b.Upper.X &&
+				py >= b.Lower.Y && py <= b.Upper.Y &&
+				pz >= b.Lower.Z && pz <= b.Upper.Z {
+				sc.sel = append(sc.sel, i)
 			}
 		}
-		t, err := f.loadTreelet(ctx, li)
-		if err != nil {
-			return err
-		}
-		tc.treelets++
-		ref := &f.leaves[li]
-		f.access.Treelet(f.accessLeaf, li, int64(ref.byteLen), ref.bounds.Center())
-		if err := s.traverseTreelet(f, t, tc, emit, cancel); err != nil {
-			return err
+	} else {
+		for i := lo; i < hi; i++ {
+			sc.sel = append(sc.sel, i)
 		}
 	}
-	return nil
+	for _, flt := range sc.s.q.Filters {
+		col := sc.t.attrs[flt.Attr]
+		kept := sc.sel[:base]
+		for _, i := range sc.sel[base:] {
+			if v := col[i]; v >= flt.Min && v <= flt.Max {
+				kept = append(kept, i)
+			}
+		}
+		sc.sel = kept
+	}
+	sc.st.FalsePositives += int64(hi-lo) - int64(len(sc.sel)-base)
 }
 
 // CollectBox gathers every particle inside bounds into a new set; this is
 // the spatial read used by the parallel read pipeline's data servers.
 func (f *File) CollectBox(bounds geom.Box) (*particles.Set, error) {
 	out := particles.NewSet(f.Schema, 0)
-	err := f.Query(Query{Bounds: &bounds}, func(p geom.Vec3, attrs []float64) error {
-		out.Append(p, attrs)
-		return nil
-	})
+	_, err := f.QueryBatches(context.Background(), Query{Bounds: &bounds}, Collect(out))
 	return out, err
 }
 
 // ReadAll gathers every particle in the file into a new set.
 func (f *File) ReadAll() (*particles.Set, error) {
 	out := particles.NewSet(f.Schema, int(f.NumParticles))
-	err := f.Query(Query{}, func(p geom.Vec3, attrs []float64) error {
-		out.Append(p, attrs)
-		return nil
-	})
+	_, err := f.QueryBatches(context.Background(), Query{}, Collect(out))
 	return out, err
 }
 
 // CountMatching returns the number of particles a query would visit; useful
-// for sizing receive buffers before a data transfer.
+// for sizing receive buffers before a data transfer. The engine already
+// sums the selection lengths into QueryStats.Visited.
 func (f *File) CountMatching(q Query) (int64, error) {
-	var n int64
-	err := f.Query(q, func(geom.Vec3, []float64) error {
-		n++
-		return nil
-	})
-	return n, err
+	st, err := f.QueryBatches(context.Background(), q, func(*Batch) error { return nil })
+	return st.Visited, err
 }

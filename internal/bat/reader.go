@@ -13,6 +13,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime"
 	"sync"
 
 	"libbat/internal/bitmap"
@@ -82,6 +83,12 @@ type File struct {
 	shallow []shallowNode
 	leaves  []leafRef
 	dict    *bitmap.Dictionary
+	// maxTreeletPoints is the largest treelet's particle count: the
+	// capacity of a selection vector that fits any treelet. selFree
+	// recycles such vectors across queries; it keeps at most the 2×workers
+	// of one query at Workers=GOMAXPROCS.
+	maxTreeletPoints uint32
+	selFree          chan []uint32
 
 	// Checksum footer state (version >= 2): the header length and CRC,
 	// and one CRC per treelet, verified when the treelet is loaded.
@@ -269,7 +276,8 @@ func DecodeCtx(ctx context.Context, src io.ReaderAt, size int64) (*File, error) 
 	if err != nil {
 		return nil, err
 	}
-	f := &File{src: src, size: size, Version: int(ver), cache: newTreeletCache()}
+	f := &File{src: src, size: size, Version: int(ver), cache: newTreeletCache(),
+		selFree: make(chan []uint32, 2*runtime.GOMAXPROCS(0))}
 	f.Quantized = flags&flagQuantized != 0
 	if f.NumParticles, err = c.u64(); err != nil {
 		return nil, err
@@ -390,9 +398,15 @@ func DecodeCtx(ctx context.Context, src io.ReaderAt, size int64) (*File, error) 
 		if l.offset > uint64(size) || l.offset+uint64(l.byteLen) > uint64(size) {
 			return nil, fmt.Errorf("bat: treelet %d extends past end of file", i)
 		}
+		// Every particle stores at least a 6-byte quantized position, so
+		// this also bounds the selection vectors sized from numPoints.
+		if uint64(l.numPoints)*6 > uint64(l.byteLen) {
+			return nil, fmt.Errorf("bat: treelet %d claims %d particles in %d bytes", i, l.numPoints, l.byteLen)
+		}
 		if l.ids, err = c.ids(nA); err != nil {
 			return nil, err
 		}
+		f.maxTreeletPoints = max(f.maxTreeletPoints, l.numPoints)
 	}
 	// The shallow hierarchy must be an actual tree: at most one parent
 	// per node. Range checks alone admit diamond-shaped DAGs whose
@@ -821,7 +835,7 @@ func (f *File) SetAccessRecorder(rec *access.Recorder, leaf int) {
 
 // SetQueryConfig sets the default execution policy used by Query,
 // QueryWithStats, and the helpers built on them (ReadAll, CollectBox,
-// CountMatching). The zero value is the serial engine.
+// CountMatching). The zero value runs the engine inline.
 func (f *File) SetQueryConfig(cfg QueryConfig) {
 	f.qcfgMu.Lock()
 	f.qcfg = cfg

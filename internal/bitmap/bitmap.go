@@ -53,20 +53,21 @@ func (r Range) Width() float64 {
 
 // Bin returns the bin index in [0, Bins) that value v falls into relative to
 // range r. Values outside the range clamp to the boundary bins; a degenerate
-// range maps everything to bin 0.
+// range maps everything to bin 0. The clamp runs before the integer
+// conversion, so ±Inf clamp too (and NaN maps to bin 0).
 func (r Range) Bin(v float64) int {
 	w := r.Width()
 	if w <= 0 {
 		return 0
 	}
-	b := int((v - r.Min) / w * Bins)
-	if b < 0 {
+	b := (v - r.Min) / w * Bins
+	if !(b >= 0) {
 		return 0
 	}
 	if b >= Bins {
 		return Bins - 1
 	}
-	return b
+	return int(b)
 }
 
 // BinRange returns the value interval covered by bin b of range r.

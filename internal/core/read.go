@@ -529,10 +529,7 @@ func queryLeaf(ctx context.Context, store pfs.Storage, m *meta.Meta, lf *leafFil
 	}
 	start := time.Now()
 	sub := particles.NewSet(f.Schema, 0)
-	st, qerr := f.QueryWithStatsCtx(ctx, q, func(p geom.Vec3, attrs []float64) error {
-		sub.Append(p, attrs)
-		return nil
-	})
+	st, qerr := f.QueryBatches(ctx, q, bat.Collect(sub))
 	if rec != nil {
 		rec.Record(access.QueryRecord{
 			Source:         "core.read",

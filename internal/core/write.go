@@ -204,12 +204,20 @@ func MetaFileName(base string) string { return base + ".batm" }
 // error naming the failed ranks, and files written for the poisoned
 // dataset (leaf files, metadata) are removed so no partial dataset stays
 // visible. cfg.Timeout bounds each blocking peer wait.
+//
+// Every position and attribute value must be finite. Each rank checks its
+// own particles in one pass before the exchange; a rank holding NaN or
+// ±Inf input fails the write with an error wrapping its
+// *particles.NonFiniteError, and every other rank fails naming it.
 func Write(c *fabric.Comm, store pfs.Storage, base string, local *particles.Set,
 	bounds geom.Box, cfg WriteConfig) (*WriteStats, error) {
 
 	stats := &WriteStats{}
 	schema := local.Schema
 	bpp := schema.BytesPerParticle()
+	// Rejected input still runs the whole protocol (with the BAT layout its
+	// leaf's build fails too); the error agreement below surfaces it.
+	inputErr := local.CheckFinite()
 
 	col := c.Observer()
 	whole := col.Start(c.Rank(), "write")
@@ -366,6 +374,9 @@ func Write(c *fabric.Comm, store pfs.Storage, base string, local *particles.Set,
 		written, bodyErr = writeBody(c, store, base, local, cfg, asg, schema, stats)
 	}
 	localErr := bodyErr
+	if inputErr != nil {
+		localErr = inputErr
+	}
 
 	if dplan != nil {
 		// Distributed planning never materialized the full tree; the

@@ -200,7 +200,15 @@ func (m *Meta) SelectLeaves(bounds *geom.Box, filters []AttrFilter) []int {
 		if f.Attr < 0 || f.Attr >= m.Schema.NumAttrs() {
 			return nil
 		}
-		masks[i] = bitmap.OfQuery(f.Min, f.Max, m.GlobalRanges[f.Attr])
+		// The bitmaps summarize values before storage, but readers check
+		// decoded values: prune with the interval widened by the largest
+		// declared (LOD-scaled) error.
+		var maxErr float64
+		if c := m.Compression; c != nil && f.Attr < len(c.ErrorBounds) {
+			maxErr = c.ErrorBounds[f.Attr] * c.LODScale
+		}
+		lo, hi := m.Schema.Attrs[f.Attr].Type.PruneInterval(f.Min, f.Max, maxErr)
+		masks[i] = bitmap.OfQuery(lo, hi, m.GlobalRanges[f.Attr])
 		if masks[i] == 0 {
 			return nil
 		}

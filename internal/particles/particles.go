@@ -31,6 +31,20 @@ func (t AttrType) Size() int {
 	return 8
 }
 
+// PruneInterval widens a filter interval [lo, hi] for pruning against
+// value ranges and bitmaps, which summarize values before storage. A
+// stored value may lie up to maxErr (the declared codec error bound) from
+// its original, plus float32 rounding (half an ulp, under 2^-24 relative)
+// for Float32 attributes, so a decoded value inside [lo, hi] may have an
+// original anywhere in the widened interval.
+func (t AttrType) PruneInterval(lo, hi, maxErr float64) (float64, float64) {
+	e := maxErr
+	if t == Float32 {
+		e += math.Max(math.Abs(lo), math.Abs(hi)) * 0x1p-23
+	}
+	return lo - e, hi + e
+}
+
 func (t AttrType) String() string {
 	if t == Float32 {
 		return "float32"
@@ -147,6 +161,46 @@ func (s *Set) Append(p geom.Vec3, attrs []float64) {
 	for i, v := range attrs {
 		s.Attrs[i] = append(s.Attrs[i], v)
 	}
+}
+
+// NonFiniteError reports a NaN or ±Inf coordinate or attribute value.
+// Writers reject such input: value ranges, bitmap bins and codec error
+// bounds are defined only over finite values.
+type NonFiniteError struct {
+	Index int     // particle index within the set
+	Field string  // "x", "y", "z" or the attribute name
+	Value float64 // the offending value
+}
+
+func (e *NonFiniteError) Error() string {
+	return fmt.Sprintf("particles: particle %d has non-finite %s = %v", e.Index, e.Field, e.Value)
+}
+
+// CheckFinite returns a *NonFiniteError naming the first non-finite
+// coordinate or attribute value in s, or nil when every value is finite.
+func (s *Set) CheckFinite() error {
+	for f, col := range [3][]float32{s.X, s.Y, s.Z} {
+		if i := firstNonFinite(col); i >= 0 {
+			return &NonFiniteError{Index: i, Field: string(rune('x' + f)), Value: float64(col[i])}
+		}
+	}
+	for a, col := range s.Attrs {
+		if i := firstNonFinite(col); i >= 0 {
+			return &NonFiniteError{Index: i, Field: s.Schema.Attrs[a].Name, Value: col[i]}
+		}
+	}
+	return nil
+}
+
+// firstNonFinite returns the index of the first NaN or ±Inf in v, or -1.
+// x-x is 0 for every finite x and NaN otherwise.
+func firstNonFinite[T float32 | float64](v []T) int {
+	for i, x := range v {
+		if x-x != 0 {
+			return i
+		}
+	}
+	return -1
 }
 
 // Position returns the position of particle i.

@@ -70,8 +70,15 @@ type (
 	Query = bat.Query
 	// AttrFilter restricts a query to an attribute interval.
 	AttrFilter = bat.AttrFilter
-	// Visitor receives query results.
+	// Visitor receives query results one particle at a time.
 	Visitor = bat.Visitor
+	// Batch is one treelet's query results: column views plus a selection
+	// vector, valid only during the BatchVisitor call.
+	Batch = bat.Batch
+	// BatchVisitor receives query results one batch at a time.
+	BatchVisitor = bat.BatchVisitor
+	// NonFiniteError is returned by Write for NaN or ±Inf input.
+	NonFiniteError = particles.NonFiniteError
 	// QueryConfig tunes query execution: traversal workers, ordered vs.
 	// order-tolerant delivery, and treelet readahead.
 	QueryConfig = bat.QueryConfig
@@ -177,6 +184,8 @@ func DefaultWriteConfig(targetFileSize int64) WriteConfig {
 // Write performs the collective spatially aware adaptive two-phase write
 // (paper §III). Every rank calls it with its local particles and bounds;
 // leaf BAT files and a top-level metadata file are written under base.
+// NaN or ±Inf positions or attributes fail the write on every rank; the
+// rank holding them gets an error wrapping a *NonFiniteError.
 func Write(c *Comm, store Storage, base string, local *ParticleSet, bounds Box, cfg WriteConfig) (*WriteStats, error) {
 	return core.Write(c, store, base, local, bounds, cfg)
 }
@@ -549,26 +558,18 @@ func (d *Dataset) openLeaf(ctx context.Context, li int, cfg QueryConfig, cacheLi
 // before each surviving file's BAT is traversed. Progressive quality
 // windows apply per leaf file.
 func (d *Dataset) Query(q Query, visit Visitor) error {
-	return d.QueryTaggedCtx(context.Background(), "dataset", q, visit)
+	_, err := d.QueryBatches(context.Background(), "dataset", q, visit.Batches())
+	return err
 }
 
-// QueryCtx is Query honoring ctx: when ctx ends, leaf opens and treelet
-// traversals abort promptly and ctx.Err() is returned. Leaf files and
-// treelets already cached stay valid for later queries.
-func (d *Dataset) QueryCtx(ctx context.Context, q Query, visit Visitor) error {
-	return d.QueryTaggedCtx(ctx, "dataset", q, visit)
-}
-
-// QueryTagged is Query with an explicit source tag for the access-telemetry
-// recent-query log (e.g. "batserve:/points"); with no recorder attached it
-// is exactly Query.
-func (d *Dataset) QueryTagged(source string, q Query, visit Visitor) error {
-	return d.QueryTaggedCtx(context.Background(), source, q, visit)
-}
-
-// QueryTaggedCtx is QueryTagged honoring ctx, the full-featured form the
-// other Query variants delegate to.
-func (d *Dataset) QueryTaggedCtx(ctx context.Context, source string, q Query, visit Visitor) error {
+// QueryBatches is the dataset's query entry point, which every other
+// query method consumes: the Aggregation Tree prunes leaf files, then each
+// surviving leaf's engine hands visit one batch per treelet with matches.
+// source tags the query in the access-telemetry recent-query log (e.g.
+// "batserve:/points"). When ctx ends, leaf opens and treelet traversals
+// abort promptly and ctx.Err() is returned; leaf files and treelets
+// already cached stay valid for later queries.
+func (d *Dataset) QueryBatches(ctx context.Context, source string, q Query, visit BatchVisitor) (QueryStats, error) {
 	d.mu.Lock()
 	rec, workers := d.accessRec, d.qcfg.Workers
 	d.mu.Unlock()
@@ -579,21 +580,11 @@ func (d *Dataset) QueryTaggedCtx(ctx context.Context, source string, q Query, vi
 	}
 	selected := d.meta.SelectLeaves(q.Bounds, filters)
 
-	if rec == nil {
-		for _, li := range selected {
-			f, err := d.leaf(ctx, li)
-			if err != nil {
-				return err
-			}
-			if err := f.QueryCtx(ctx, q, visit); err != nil {
-				return err
-			}
-		}
-		return nil
+	var start time.Time
+	var before CacheStats
+	if rec != nil {
+		start, before = time.Now(), d.CacheStats()
 	}
-
-	start := time.Now()
-	before := d.CacheStats()
 	var total QueryStats
 	var qerr error
 	for _, li := range selected {
@@ -602,15 +593,15 @@ func (d *Dataset) QueryTaggedCtx(ctx context.Context, source string, q Query, vi
 			qerr = err
 			break
 		}
-		st, err := f.QueryWithStatsCtx(ctx, q, visit)
-		total.Visited += st.Visited
-		total.FalsePositives += st.FalsePositives
-		total.PrunedSubtrees += st.PrunedSubtrees
-		total.Treelets += st.Treelets
+		st, err := f.QueryBatches(ctx, q, visit)
+		total.Add(st)
 		if err != nil {
 			qerr = err
 			break
 		}
+	}
+	if rec == nil {
+		return total, qerr
 	}
 	after := d.CacheStats()
 	// Cache hit ratio over this query's lookups, from the counter delta.
@@ -643,7 +634,7 @@ func (d *Dataset) QueryTaggedCtx(ctx context.Context, source string, q Query, vi
 		Seconds:        time.Since(start).Seconds(),
 		CacheHitRatio:  ratio,
 	})
-	return qerr
+	return total, qerr
 }
 
 // Count returns the number of particles a query would visit.
@@ -653,21 +644,14 @@ func (d *Dataset) Count(q Query) (int64, error) {
 
 // CountCtx is Count honoring ctx.
 func (d *Dataset) CountCtx(ctx context.Context, q Query) (int64, error) {
-	var n int64
-	err := d.QueryCtx(ctx, q, func(Vec3, []float64) error {
-		n++
-		return nil
-	})
-	return n, err
+	st, err := d.QueryBatches(ctx, "dataset", q, func(*Batch) error { return nil })
+	return st.Visited, err
 }
 
 // ReadAll collects every particle into one set.
 func (d *Dataset) ReadAll() (*ParticleSet, error) {
 	out := particles.NewSet(d.meta.Schema, int(d.meta.TotalCount()))
-	err := d.Query(Query{}, func(p Vec3, attrs []float64) error {
-		out.Append(p, attrs)
-		return nil
-	})
+	_, err := d.QueryBatches(context.Background(), "dataset", Query{}, bat.Collect(out))
 	return out, err
 }
 
@@ -701,18 +685,15 @@ func (d *Dataset) Histogram(attr, bins int, q Query) ([]int64, error) {
 	r := d.meta.GlobalRanges[attr]
 	width := r.Max - r.Min
 	out := make([]int64, bins)
-	err := d.Query(q, func(_ Vec3, attrs []float64) error {
-		b := 0
-		if width > 0 {
-			b = int((attrs[attr] - r.Min) / width * float64(bins))
-			if b < 0 {
-				b = 0
+	_, err := d.QueryBatches(context.Background(), "dataset", q, func(b *Batch) error {
+		col := b.Attrs[attr]
+		for _, j := range b.Sel {
+			k := 0
+			if width > 0 {
+				k = min(max(int((col[j]-r.Min)/width*float64(bins)), 0), bins-1)
 			}
-			if b >= bins {
-				b = bins - 1
-			}
+			out[k]++
 		}
-		out[b]++
 		return nil
 	})
 	return out, err

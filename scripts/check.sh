@@ -71,10 +71,13 @@ run "go test -race TestBuildDeterminism" env GOMAXPROCS=4 go test -race -run 'Te
 run "go test -race compression" env GOMAXPROCS=4 go test -race -run 'TestCompressed|TestCompressionInfo|TestGolden' ./internal/bat/
 
 # The concurrent query engine under the race detector: shared-File queries,
-# parallel-vs-serial multiset identity, the treelet cache singleflight, and
-# the batserve overlapping-request tests. GOMAXPROCS forced above 1 so the
-# traversal workers genuinely interleave on single-core runners.
-run "go test -race query engine" env GOMAXPROCS=4 go test -race -run 'TestConcurrent|TestParallel|TestOrdered|TestCache|TestFileCache|TestReadahead|TestCloseWaits|TestFileLevel' ./internal/bat/
+# parallel-vs-serial multiset identity, the treelet cache singleflight, the
+# batch visitor (including views of treelets evicted mid-batch), the
+# per-query allocation guard, the differential engine oracle at File and
+# Dataset level, and the batserve overlapping-request tests. GOMAXPROCS
+# forced above 1 so the traversal workers genuinely interleave on
+# single-core runners.
+run "go test -race query engine" env GOMAXPROCS=4 go test -race -run 'TestConcurrent|TestParallel|TestOrdered|TestCache|TestFileCache|TestReadahead|TestCloseWaits|TestFileLevel|TestBatch|TestQueryAllocs|TestEngineOracle' ./internal/bat/ .
 run "go test -race batserve" env GOMAXPROCS=4 go test -race ./cmd/batserve/
 run "go test -race Dataset" env GOMAXPROCS=4 go test -race -run 'TestDataset' .
 
