@@ -21,7 +21,6 @@ import (
 	"libbat"
 	"libbat/internal/bench"
 	"libbat/internal/cliutil"
-	"libbat/internal/mmapio"
 	"libbat/internal/pfs"
 )
 
@@ -91,7 +90,6 @@ func main() {
 	col := obsFlags.Collector()
 	if col != nil {
 		store = pfs.Observe(store, col)
-		mmapio.SetCollector(col)
 		bench.Observer = col
 	}
 	dump := func() {

@@ -91,3 +91,69 @@ func TestDatasetQueryCtxDetach(t *testing.T) {
 		t.Fatalf("post-detach count = %d, %v; want %d, nil", n, err, total)
 	}
 }
+
+// TestDatasetCacheStatsSkipsInflightOpens: with an access recorder
+// attached, every query snapshots the cache counters before and after it
+// runs. A query that touches only warm leaves must not wait, deaf to its
+// own deadline, behind another query's stalled open of a different leaf.
+func TestDatasetCacheStatsSkipsInflightOpens(t *testing.T) {
+	leakcheck.Check(t)
+	store, _ := writeTestDataset(t, "inflight", 20*1024)
+	fau := pfs.NewFaulty(store, pfs.FaultConfig{})
+	ds, err := OpenDataset(fau, "inflight")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	ds.SetAccessRecorder(NewAccessRecorder("inflight", ds.Bounds(), AccessOptions{}))
+
+	// A query box inside some leaf other than 0 that leaf 0 cannot match.
+	leaves := ds.Leaves()
+	var q Query
+	for _, l := range leaves[1:] {
+		c, h := l.Bounds.Center(), l.Bounds.Size().Scale(0.25)
+		box := NewBox(c.Sub(h), c.Add(h))
+		if !box.Overlaps(leaves[0].Bounds) {
+			q = Query{Bounds: &box}
+			break
+		}
+	}
+	if q.Bounds == nil {
+		t.Fatal("no leaf is disjoint from leaf 0")
+	}
+	if n, err := ds.Count(q); err != nil || n == 0 {
+		t.Fatalf("warming count = %d, %v", n, err)
+	}
+
+	fau.StallOpens(core.LeafFileName("inflight", 0))
+	scan := make(chan error, 1)
+	go func() {
+		_, err := ds.Count(Query{})
+		scan <- err
+	}()
+	for fau.Stalled() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+
+	warm := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+		defer cancel()
+		_, err := ds.QueryBatches(ctx, "dataset", q, func(*Batch) error { return nil })
+		warm <- err
+	}()
+	select {
+	case err := <-warm:
+		if err != nil {
+			t.Errorf("warm query = %v", err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Error("warm query still blocked after 3s behind another query's stalled open")
+		fau.ReleaseStalls()
+		<-warm
+	}
+	fau.ReleaseStalls()
+	if err := <-scan; err != nil {
+		t.Fatalf("full scan after release = %v", err)
+	}
+}

@@ -1,6 +1,7 @@
 package libbat
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -76,7 +77,9 @@ func fileTarget(t *testing.T, compress bool) oracleTarget {
 	}
 }
 
-func datasetTarget(t *testing.T, compress bool) oracleTarget {
+// oracleStore writes the "oracle" dataset: four ranks' clustered
+// particles in two leaf files.
+func oracleStore(t *testing.T, compress bool) Storage {
 	store := MemStorage()
 	err := Run(4, func(c *Comm) error {
 		lo := V3(float64(c.Rank()%2), float64(c.Rank()/2), 0)
@@ -92,7 +95,11 @@ func datasetTarget(t *testing.T, compress bool) oracleTarget {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := OpenDataset(store, "oracle")
+	return store
+}
+
+func datasetTarget(t *testing.T, compress bool) oracleTarget {
+	ds, err := OpenDataset(oracleStore(t, compress), "oracle")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,6 +312,92 @@ func runOracle(t *testing.T, mk func() oracleTarget) {
 		}
 		if ev := tg.cache().Evictions; (cache == 1) != (ev > 0) {
 			t.Fatalf("cache limit %d: %d evictions", cache, ev)
+		}
+	}
+}
+
+// TestCollectiveReadOracle extends the oracle to the collective ReadQuery
+// over the same datasets, with 1 reader rank (fewer ranks than leaf
+// files: every leaf is served locally) and 4 (more ranks than files:
+// most answers arrive as remote replies). Every rank runs the seeded
+// query table and the progressive session collectively, each starting at
+// a different query so ranks ask different things at once, and checks
+// its own answers: full-quality queries equal a brute-force scan of the
+// decoded set, each session increment equals the Dataset's, and the
+// increments tile the full query.
+func TestCollectiveReadOracle(t *testing.T) {
+	for _, compress := range []bool{false, true} {
+		for _, ranks := range []int{1, 4} {
+			name := fmt.Sprintf("v2/%d-ranks", ranks)
+			if compress {
+				name = fmt.Sprintf("v3/%d-ranks", ranks)
+			}
+			t.Run(name, func(t *testing.T) {
+				store := oracleStore(t, compress)
+				ds, err := OpenDataset(store, "oracle")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer ds.Close()
+				all, err := ds.ReadAll()
+				if err != nil {
+					t.Fatal(err)
+				}
+				full, session := oracleQueries(all, rand.New(rand.NewSource(42)))
+				want := make([][]uint64, 0, len(full)+len(session))
+				for _, q := range full {
+					want = append(want, bruteForce(all, q))
+				}
+				for _, q := range session {
+					var seq []uint64
+					err := ds.Query(q, func(p Vec3, attrs []float64) error {
+						seq = append(seq, particleHash(float32(p.X), float32(p.Y), float32(p.Z), func(a int) float64 { return attrs[a] }, len(attrs)))
+						return nil
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					want = append(want, sortedCopy(seq))
+				}
+				whole := session[0]
+				whole.PrevQuality, whole.Quality = 0, 1
+				wholeWant := bruteForce(all, whole)
+				queries := append(slices.Clone(full), session...)
+
+				err = Run(ranks, func(c *Comm) error {
+					// A rank that stopped early would strand the others
+					// inside the next collective, so every rank runs every
+					// query and reports its first mismatch at the end.
+					var tiled []uint64
+					var first error
+					for step := range queries {
+						i := (step + c.Rank()) % len(queries)
+						got, _, err := ReadQuery(c, store, "oracle", queries[i])
+						if err != nil {
+							first = cmp.Or(first, fmt.Errorf("rank %d query %d: %w", c.Rank(), i, err))
+							continue
+						}
+						hashes := make([]uint64, got.Len())
+						for j := range hashes {
+							hashes[j] = particleHash(got.X[j], got.Y[j], got.Z[j], func(a int) float64 { return got.Attrs[a][j] }, got.Schema.NumAttrs())
+						}
+						slices.Sort(hashes)
+						if !slices.Equal(hashes, want[i]) {
+							first = cmp.Or(first, fmt.Errorf("rank %d query %d %+v: ReadQuery answers %d particles, want %d", c.Rank(), i, queries[i], len(hashes), len(want[i])))
+						}
+						if i >= len(full) {
+							tiled = append(tiled, hashes...)
+						}
+					}
+					if first == nil && !slices.Equal(sortedCopy(tiled), wholeWant) {
+						first = fmt.Errorf("rank %d: progressive increments hold %d particles, the full query %d (overlap or gap)", c.Rank(), len(tiled), len(wholeWant))
+					}
+					return first
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
 		}
 	}
 }

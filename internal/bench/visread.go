@@ -1,8 +1,8 @@
 package bench
 
 import (
+	"context"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -10,7 +10,6 @@ import (
 	"libbat/internal/core"
 	"libbat/internal/fabric"
 	"libbat/internal/geom"
-	"libbat/internal/meta"
 	"libbat/internal/obs"
 	"libbat/internal/pfs"
 	"libbat/internal/workloads"
@@ -79,12 +78,17 @@ type ProgressiveResult struct {
 func ProgressiveRead(store pfs.Storage, base string) (ProgressiveResult, error) {
 	var res ProgressiveResult
 	store = pfs.Observe(store, Observer)
-	m, err := openMetaFile(store, base)
+	ds, err := core.OpenDataset(context.Background(), store, base)
 	if err != nil {
 		return res, err
 	}
-	files := make([]*bat.File, len(m.Leaves))
-	for i, l := range m.Leaves {
+	leaves := ds.Leaves()
+	if err := ds.Close(); err != nil {
+		return res, err
+	}
+	// Every leaf is opened and decoded eagerly, outside the timed loop.
+	files := make([]*bat.File, len(leaves))
+	for i, l := range leaves {
 		fh, err := store.Open(l.FileName)
 		if err != nil {
 			return res, err
@@ -229,57 +233,21 @@ func Fig13Quality(cfg VisReadConfig, particles int64) (*Table, error) {
 	if _, err := WriteDataset(cb, 0, store, "fig13", core.DefaultWriteConfig(target)); err != nil {
 		return nil, err
 	}
-	m, err := openMetaFile(store, "fig13")
+	ds, err := core.OpenDataset(context.Background(), store, "fig13")
 	if err != nil {
 		return nil, err
 	}
-	total := m.TotalCount()
+	defer ds.Close()
+	total := ds.NumParticles()
 	for _, q := range []float64{0.2, 0.4, 0.8, 1.0} {
-		var pts int64
-		for _, l := range m.Leaves {
-			f, err := openLeaf(store, l.FileName)
-			if err != nil {
-				return nil, err
-			}
-			n, err := f.CountMatching(bat.Query{Quality: q})
-			f.Close()
-			if err != nil {
-				return nil, err
-			}
-			pts += n
+		pts, err := ds.Count(bat.Query{Quality: q})
+		if err != nil {
+			return nil, err
 		}
 		t.AddRow(fmt.Sprintf("%.1f", q), fmt.Sprintf("%d", pts),
 			fmt.Sprintf("%.2f", float64(pts)/float64(total)))
 	}
 	return t, nil
-}
-
-// openMetaFile reads and parses a dataset's top-level metadata.
-func openMetaFile(store pfs.Storage, base string) (*meta.Meta, error) {
-	mf, err := store.Open(core.MetaFileName(base))
-	if err != nil {
-		return nil, err
-	}
-	defer mf.Close()
-	buf := make([]byte, mf.Size())
-	if _, err := mf.ReadAt(buf, 0); err != nil && err != io.EOF {
-		return nil, err
-	}
-	return meta.Decode(buf)
-}
-
-func openLeaf(store pfs.Storage, name string) (*bat.File, error) {
-	fh, err := store.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	f, err := bat.Decode(fh, fh.Size())
-	if err != nil {
-		fh.Close()
-		return nil, err
-	}
-	f.SetCloser(fh)
-	return f, nil
 }
 
 // Overhead regenerates the §VI-B memory overhead measurement: the BAT

@@ -1,8 +1,11 @@
-package libbat
+package core
 
 import (
 	"fmt"
 	"math"
+
+	"libbat/internal/bat"
+	"libbat/internal/geom"
 )
 
 // This file provides the common analysis passes the paper's visualization
@@ -16,9 +19,9 @@ import (
 // over the dataset bounds, returning particle counts in x-major order
 // (index = (iz*ny + iy)*nx + ix). It is the data backing a splatting/volume
 // view of the particles.
-func (d *Dataset) DensityGrid(nx, ny, nz int, q Query) ([]int64, error) {
+func (d *Dataset) DensityGrid(nx, ny, nz int, q bat.Query) ([]int64, error) {
 	if nx < 1 || ny < 1 || nz < 1 {
-		return nil, fmt.Errorf("libbat: invalid grid %dx%dx%d", nx, ny, nz)
+		return nil, fmt.Errorf("core: invalid grid %dx%dx%d", nx, ny, nz)
 	}
 	b := d.Bounds()
 	sz := b.Size()
@@ -36,7 +39,7 @@ func (d *Dataset) DensityGrid(nx, ny, nz int, q Query) ([]int64, error) {
 		}
 		return i
 	}
-	err := d.Query(q, func(p Vec3, _ []float64) error {
+	err := d.Query(q, func(p geom.Vec3, _ []float64) error {
 		ix := bin(p.X, b.Lower.X, sz.X, nx)
 		iy := bin(p.Y, b.Lower.Y, sz.Y, ny)
 		iz := bin(p.Z, b.Lower.Z, sz.Z, nz)
@@ -56,13 +59,13 @@ type AttrSummary struct {
 
 // Summarize computes count/min/max/mean/stddev of an attribute over the
 // particles matched by q (Welford's algorithm, single pass).
-func (d *Dataset) Summarize(attr int, q Query) (AttrSummary, error) {
+func (d *Dataset) Summarize(attr int, q bat.Query) (AttrSummary, error) {
 	if attr < 0 || attr >= d.meta.Schema.NumAttrs() {
-		return AttrSummary{}, fmt.Errorf("libbat: attribute %d out of range", attr)
+		return AttrSummary{}, fmt.Errorf("core: attribute %d out of range", attr)
 	}
 	s := AttrSummary{Min: math.Inf(1), Max: math.Inf(-1)}
 	var m2 float64
-	err := d.Query(q, func(_ Vec3, attrs []float64) error {
+	err := d.Query(q, func(_ geom.Vec3, attrs []float64) error {
 		v := attrs[attr]
 		s.Count++
 		if v < s.Min {
@@ -93,16 +96,16 @@ func (d *Dataset) Summarize(attr int, q Query) (AttrSummary, error) {
 // and the mean of the given attribute (NaN for empty shells; attr < 0
 // skips attribute averaging). This is the standard first look at halos,
 // plumes, and droplets.
-func (d *Dataset) RadialProfile(center Vec3, radius float64, bins, attr int, q Query) (counts []int64, means []float64, err error) {
+func (d *Dataset) RadialProfile(center geom.Vec3, radius float64, bins, attr int, q bat.Query) (counts []int64, means []float64, err error) {
 	if bins < 1 || radius <= 0 {
-		return nil, nil, fmt.Errorf("libbat: invalid profile (bins=%d, radius=%g)", bins, radius)
+		return nil, nil, fmt.Errorf("core: invalid profile (bins=%d, radius=%g)", bins, radius)
 	}
 	if attr >= d.meta.Schema.NumAttrs() {
-		return nil, nil, fmt.Errorf("libbat: attribute %d out of range", attr)
+		return nil, nil, fmt.Errorf("core: attribute %d out of range", attr)
 	}
 	counts = make([]int64, bins)
 	sums := make([]float64, bins)
-	err = d.Query(q, func(p Vec3, attrs []float64) error {
+	err = d.Query(q, func(p geom.Vec3, attrs []float64) error {
 		r := p.Sub(center).Length()
 		if r >= radius {
 			return nil

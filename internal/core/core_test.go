@@ -359,11 +359,12 @@ func TestMetadataQueriesAfterWrite(t *testing.T) {
 
 func openMeta(t *testing.T, store pfs.Storage, base string) *meta.Meta {
 	t.Helper()
-	m, err := readMeta(context.Background(), store, MetaFileName(base))
+	ds, err := OpenDataset(context.Background(), store, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m
+	ds.Close()
+	return ds.meta
 }
 
 func TestStrategyString(t *testing.T) {

@@ -3,9 +3,7 @@ package core
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
 	"time"
@@ -13,7 +11,6 @@ import (
 	"libbat/internal/bat"
 	"libbat/internal/fabric"
 	"libbat/internal/geom"
-	"libbat/internal/meta"
 	"libbat/internal/obs"
 	"libbat/internal/obs/access"
 	"libbat/internal/particles"
@@ -96,8 +93,13 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 	// Phase a: every rank reads the aggregation tree metadata.
 	metaStart := time.Now()
 	metaSp := col.Start(c.Rank(), "read.meta")
-	m, err := readMeta(ctx, store, MetaFileName(base))
+	// The aggregator side serves its leaves through this Dataset, which
+	// opens each leaf file once and shares it across every query for it.
+	ds, err := OpenDataset(ctx, store, base)
 	metaSp.End()
+	if err == nil {
+		defer ds.Close()
+	}
 	// Agree on the metadata status before any queries are routed: a rank
 	// returning here while others proceed would leave their queries to it
 	// unanswered forever.
@@ -105,10 +107,12 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 		return nil, nil, aerr
 	}
 	stats.Metadata = time.Since(metaStart)
+	m := ds.meta
 	// Access telemetry (nil registry → nil recorder → no-ops throughout):
 	// the aggregator side records which treelets and regions each served
 	// leaf query touches, keyed by dataset base name.
 	rec := c.AccessRegistry().Get(base, m.Domain)
+	ds.SetAccessRecorder(rec)
 	nLeaves := len(m.Leaves)
 	if nLeaves == 0 {
 		c.Barrier()
@@ -119,11 +123,7 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 	// reads them; the assignment is computed locally on every rank
 	// (§IV-A). The aggregation tree prunes spatially and by the global
 	// attribute bitmaps before any file is contacted.
-	var metaFilters []meta.AttrFilter
-	for _, f := range q.Filters {
-		metaFilters = append(metaFilters, meta.AttrFilter{Attr: f.Attr, Min: f.Min, Max: f.Max})
-	}
-	want := m.SelectLeaves(q.Bounds, metaFilters)
+	want := ds.selectLeaves(q)
 
 	// Phase c: client-server query loop with a nonblocking barrier
 	// (§IV-B). Queries to leaves this rank reads itself are answered
@@ -147,8 +147,8 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 	// Serve queries for the leaves assigned to this rank while collecting
 	// replies. Leaf work — opening, decoding, and traversing files — runs on
 	// a worker pool so one rank services many in-flight client queries and
-	// many of its own files concurrently; opened files are cached across
-	// queries with singleflight deduplication. The fabric communicator is
+	// many of its own files concurrently; the Dataset opens each file once
+	// and shares it across queries. The fabric communicator is
 	// documented single-goroutine, so this main loop remains the only
 	// goroutine touching c: it receives queries, feeds the pool, sends the
 	// pool's finished replies, and collects this rank's own replies.
@@ -176,8 +176,6 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 			firstLeafErr = err
 		}
 	}
-	lf := newLeafFiles()
-	defer lf.closeAll()
 	served := c.Observer().Counter("core_queries_served_total", obs.Rank(c.Rank()))
 	replyBytes := c.Observer().Counter("core_reply_bytes_total", obs.Rank(c.Rank()))
 
@@ -193,7 +191,7 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 		go func() {
 			defer workers.Done()
 			for j := range jobs {
-				results <- serveLeafJob(ctx, col, c.Rank(), store, m, lf, rec, j)
+				results <- serveLeafJob(ctx, col, c.Rank(), ds, rec, j)
 			}
 		}()
 	}
@@ -211,9 +209,6 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 
 	applyResult := func(r serveResult) {
 		stats.FileRead += r.fileRead
-		if r.opened {
-			stats.NumFiles++
-		}
 		if r.source < 0 {
 			selfPending--
 			if r.err != nil {
@@ -328,6 +323,7 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 	if firstErr != nil {
 		return nil, nil, firstErr
 	}
+	stats.NumFiles = ds.openedLeaves()
 	stats.Transfer = time.Since(xferStart) - stats.FileRead
 	if stats.Transfer < 0 {
 		stats.Transfer = 0
@@ -377,26 +373,6 @@ func parseReply(raw []byte, schema particles.Schema) (int, *particles.Set, error
 	return leaf, s, err
 }
 
-// readMeta loads and parses the metadata file.
-func readMeta(ctx context.Context, store pfs.Storage, name string) (m *meta.Meta, err error) {
-	f, err := pfs.OpenContext(ctx, store, name)
-	if err != nil {
-		return nil, err
-	}
-	// The handle is read-only, but a failing Close can still be the first
-	// sign of a flaky mount: surface it instead of dropping it.
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			m, err = nil, fmt.Errorf("core: closing %s: %w", name, cerr)
-		}
-	}()
-	buf := make([]byte, f.Size())
-	if _, rerr := pfs.ReadAtContext(ctx, f, buf, 0); rerr != nil && rerr != io.EOF {
-		return nil, rerr
-	}
-	return meta.Decode(buf)
-}
-
 // serveJob is one leaf query for the aggregator worker pool: a remote
 // rank's request, or (source == -1) one of this rank's own leaves.
 type serveJob struct {
@@ -414,20 +390,28 @@ type serveResult struct {
 	reply    []byte
 	sub      *particles.Set
 	err      error
-	opened   bool // this job opened the leaf file (counts toward NumFiles)
 	fileRead time.Duration
 }
 
-// serveLeafJob runs on a pool worker: open/traverse the leaf and package
-// the outcome. It never touches the communicator.
-func serveLeafJob(ctx context.Context, col *obs.Collector, rank int, store pfs.Storage, m *meta.Meta, lf *leafFiles, rec *access.Recorder, j serveJob) serveResult {
+// serveLeafJob runs on a pool worker: serve the leaf through ds and
+// package the outcome. It never touches the communicator. With a recorder
+// attached, every serve is logged in the recent-query ring under the
+// serving rank.
+func serveLeafJob(ctx context.Context, col *obs.Collector, rank int, ds *Dataset, rec *access.Recorder, j serveJob) serveResult {
 	sp := col.Start(rank, "read.serve")
 	defer sp.End()
 	start := time.Now()
-	sub, opened, err := queryLeaf(ctx, store, m, lf, rec, rank, j.leaf, j.q)
-	res := serveResult{source: j.source, leaf: j.leaf, opened: opened, fileRead: time.Since(start)}
+	sub := particles.NewSet(ds.meta.Schema, 0)
+	st, err := ds.serveLeaf(ctx, j.leaf, j.q, bat.Collect(sub))
+	if rec != nil {
+		ds.record(rec, access.QueryRecord{Source: "core.read", Rank: rank}, j.q, st, start)
+	}
+	res := serveResult{source: j.source, leaf: j.leaf, fileRead: time.Since(start)}
 	if j.source < 0 {
-		res.sub, res.err = sub, err
+		res.sub = sub
+		if err != nil {
+			res.err = fmt.Errorf("core: %w", err)
+		}
 		return res
 	}
 	if err != nil {
@@ -438,128 +422,4 @@ func serveLeafJob(ctx context.Context, col *obs.Collector, rank int, store pfs.S
 		res.reply = replyData(j.leaf, sub)
 	}
 	return res
-}
-
-// leafFiles is the aggregator's concurrent open-file cache: each leaf is
-// opened exactly once (singleflight) and shared by every job that needs
-// it. Open errors are not cached, so a flaky open is retried by the next
-// query instead of poisoning the leaf for the rest of the read.
-type leafFiles struct {
-	mu sync.Mutex
-	m  map[int]*leafFileSlot
-}
-
-type leafFileSlot struct {
-	ready chan struct{}
-	f     *bat.File
-	err   error
-}
-
-func newLeafFiles() *leafFiles { return &leafFiles{m: map[int]*leafFileSlot{}} }
-
-// get returns leaf li's open file, calling open at most once concurrently.
-// opened reports whether this call performed the open.
-func (lf *leafFiles) get(li int, open func() (*bat.File, error)) (f *bat.File, opened bool, err error) {
-	lf.mu.Lock()
-	if s, ok := lf.m[li]; ok {
-		lf.mu.Unlock()
-		<-s.ready
-		return s.f, false, s.err
-	}
-	s := &leafFileSlot{ready: make(chan struct{})}
-	lf.m[li] = s
-	lf.mu.Unlock()
-	s.f, s.err = open()
-	if s.err != nil {
-		lf.mu.Lock()
-		if lf.m[li] == s {
-			delete(lf.m, li)
-		}
-		lf.mu.Unlock()
-	}
-	close(s.ready)
-	return s.f, s.err == nil, s.err
-}
-
-// closeAll closes every cached file, waiting out any still mid-open.
-func (lf *leafFiles) closeAll() {
-	lf.mu.Lock()
-	slots := make([]*leafFileSlot, 0, len(lf.m))
-	for _, s := range lf.m {
-		slots = append(slots, s)
-	}
-	lf.m = map[int]*leafFileSlot{}
-	lf.mu.Unlock()
-	for _, s := range slots {
-		<-s.ready
-		if s.err == nil && s.f != nil {
-			s.f.Close()
-		}
-	}
-}
-
-// queryLeaf answers one query against a leaf file, opening (and caching)
-// it in lf on first use. With a recorder attached, the serve is logged in
-// the recent-query ring and treelet touches are recorded under li. A ctx
-// that ends before or during the serve yields ctx.Err(), which the caller
-// turns into a per-leaf error reply — open errors (including context
-// errors) are never cached, so a later read retries the leaf cleanly.
-func queryLeaf(ctx context.Context, store pfs.Storage, m *meta.Meta, lf *leafFiles, rec *access.Recorder, rank, li int, q bat.Query) (*particles.Set, bool, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, false, fmt.Errorf("core: leaf %d abandoned: %w", li, err)
-	}
-	f, opened, err := lf.get(li, func() (*bat.File, error) {
-		handle, err := pfs.OpenContext(ctx, store, m.Leaves[li].FileName)
-		if err != nil {
-			return nil, fmt.Errorf("core: opening leaf %d: %w", li, err)
-		}
-		bf, err := bat.DecodeCtx(ctx, handle, handle.Size())
-		if err != nil {
-			if cerr := handle.Close(); cerr != nil {
-				err = errors.Join(err, cerr)
-			}
-			return nil, fmt.Errorf("core: parsing leaf %d: %w", li, err)
-		}
-		bf.SetCloser(handle)
-		bf.SetAccessRecorder(rec, li)
-		return bf, nil
-	})
-	if err != nil {
-		return nil, opened, err
-	}
-	start := time.Now()
-	sub := particles.NewSet(f.Schema, 0)
-	st, qerr := f.QueryBatches(ctx, q, bat.Collect(sub))
-	if rec != nil {
-		rec.Record(access.QueryRecord{
-			Source:         "core.read",
-			Rank:           rank,
-			Box:            access.BoxRecord(q.Bounds),
-			Filters:        accessFilters(m.Schema, q.Filters),
-			PrevQuality:    q.PrevQuality,
-			Quality:        q.Quality,
-			Treelets:       st.Treelets,
-			Particles:      st.Visited,
-			Pruned:         st.PrunedSubtrees,
-			FalsePositives: st.FalsePositives,
-			Seconds:        time.Since(start).Seconds(),
-		})
-	}
-	return sub, opened, qerr
-}
-
-// accessFilters names a query's attribute filters for the access log.
-func accessFilters(schema particles.Schema, fs []bat.AttrFilter) []access.FilterRange {
-	if len(fs) == 0 {
-		return nil
-	}
-	out := make([]access.FilterRange, len(fs))
-	for i, f := range fs {
-		name := fmt.Sprintf("attr%d", f.Attr)
-		if f.Attr >= 0 && f.Attr < schema.NumAttrs() {
-			name = schema.Attrs[f.Attr].Name
-		}
-		out[i] = access.FilterRange{Attr: name, Min: f.Min, Max: f.Max}
-	}
-	return out
 }

@@ -35,7 +35,6 @@ func Open(path string) (*Mapping, error) {
 		return nil, err
 	}
 	if st.Size() == 0 {
-		noteOpen(0)
 		return &Mapping{f: f}, nil
 	}
 	data, err := syscall.Mmap(int(f.Fd()), 0, int(st.Size()),
@@ -44,7 +43,6 @@ func Open(path string) (*Mapping, error) {
 		f.Close()
 		return nil, fmt.Errorf("mmapio: mmap %s: %w", path, err)
 	}
-	noteOpen(st.Size())
 	return &Mapping{data: data, f: f}, nil
 }
 
@@ -60,7 +58,6 @@ func (m *Mapping) ReadAt(p []byte, off int64) (int, error) {
 		return 0, io.EOF
 	}
 	n := copy(p, m.data[off:])
-	noteRead(n)
 	if n < len(p) {
 		return n, io.EOF
 	}

@@ -21,19 +21,14 @@ package libbat
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"time"
 
 	"libbat/internal/bat"
 	"libbat/internal/core"
 	"libbat/internal/fabric"
 	"libbat/internal/geom"
 	"libbat/internal/meta"
-	"libbat/internal/obs"
 	"libbat/internal/obs/access"
 	"libbat/internal/particles"
 	"libbat/internal/pfs"
@@ -111,6 +106,14 @@ type (
 	AccessSnapshot = access.Snapshot
 	// AccessQueryRecord is one entry of the recent-query ring.
 	AccessQueryRecord = access.QueryRecord
+	// Dataset is single-process read access to a written dataset, treating
+	// the whole collection of leaf files as one queryable store (paper
+	// §III-D, §V). Safe for concurrent queries; see core.Dataset.
+	Dataset = core.Dataset
+	// LeafInfo describes one leaf file of a dataset.
+	LeafInfo = core.LeafInfo
+	// AttrSummary holds streaming statistics of one attribute over a query.
+	AttrSummary = core.AttrSummary
 )
 
 // NewAccessRecorder creates an enabled access-telemetry recorder for a
@@ -261,440 +264,7 @@ func ListDatasets(store Storage, prefix string) ([]string, error) {
 
 const metaSuffix = ".batm"
 
-// Dataset is single-process read access to a written dataset, treating the
-// whole collection of leaf files as one queryable store (paper §III-D, §V).
-//
-// A Dataset is safe for concurrent use: any number of goroutines may run
-// Query/Count/ReadAll/Histogram at the same time. Leaf files are opened
-// lazily with singleflight deduplication, and each leaf's treelet cache is
-// itself concurrent. Close must not be called while queries are in flight
-// (servers should fence it with their own lock, as cmd/batserve does).
-type Dataset struct {
-	store pfs.Storage
-	meta  *meta.Meta
-
-	mu         sync.Mutex // guards files and the config fields below
-	files      map[int]*leafSlot
-	qcfg       QueryConfig
-	cacheLimit int64 // total budget across leaves; 0 = unbounded
-	col        *obs.Collector
-	obsLabels  []obs.Label
-	accessRec  *access.Recorder
-}
-
-// leafSlot is one leaf file's singleflight slot: ready is closed once f/err
-// are set, so concurrent queries needing the same unopened leaf open it
-// exactly once and share the handle.
-type leafSlot struct {
-	ready chan struct{}
-	f     *bat.File
-	err   error
-}
-
 // OpenDataset opens the dataset written under base in store.
 func OpenDataset(store Storage, base string) (*Dataset, error) {
-	f, err := store.Open(core.MetaFileName(base))
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	buf := make([]byte, f.Size())
-	if _, err := readFull(f, buf); err != nil {
-		return nil, err
-	}
-	m, err := meta.Decode(buf)
-	if err != nil {
-		return nil, err
-	}
-	return &Dataset{store: store, meta: m, files: make(map[int]*leafSlot)}, nil
-}
-
-func readFull(f pfs.File, buf []byte) (int, error) {
-	n, err := f.ReadAt(buf, 0)
-	if n == len(buf) {
-		return n, nil
-	}
-	return n, err
-}
-
-// Close releases all opened leaf files, waiting for any still mid-open.
-func (d *Dataset) Close() error {
-	d.mu.Lock()
-	files := d.files
-	d.files = make(map[int]*leafSlot)
-	d.mu.Unlock()
-	var errs []error
-	for _, s := range files {
-		<-s.ready
-		if s.err == nil && s.f != nil {
-			errs = append(errs, s.f.Close())
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// SetQueryConfig sets the traversal configuration applied to every leaf
-// query (existing and future opens). Safe to call concurrently with
-// queries; in-flight traversals keep their old configuration.
-func (d *Dataset) SetQueryConfig(cfg QueryConfig) {
-	d.mu.Lock()
-	d.qcfg = cfg
-	slots := d.openSlotsLocked()
-	d.mu.Unlock()
-	for _, s := range slots {
-		<-s.ready
-		if s.err == nil {
-			s.f.SetQueryConfig(cfg)
-		}
-	}
-}
-
-// SetCacheLimit bounds the total treelet-cache memory across all leaf
-// files (0 = unbounded). The budget is split evenly per leaf.
-func (d *Dataset) SetCacheLimit(bytes int64) {
-	d.mu.Lock()
-	d.cacheLimit = bytes
-	per := d.perLeafLimitLocked()
-	slots := d.openSlotsLocked()
-	d.mu.Unlock()
-	for _, s := range slots {
-		<-s.ready
-		if s.err == nil {
-			s.f.SetCacheLimit(per)
-		}
-	}
-}
-
-// SetObserver mirrors per-leaf treelet cache counters into col.
-func (d *Dataset) SetObserver(col *obs.Collector, labels ...obs.Label) {
-	d.mu.Lock()
-	d.col, d.obsLabels = col, labels
-	slots := d.openSlotsLocked()
-	d.mu.Unlock()
-	for _, s := range slots {
-		<-s.ready
-		if s.err == nil {
-			s.f.SetObserver(col, labels...)
-		}
-	}
-}
-
-// SetAccessRecorder attaches an access-telemetry recorder to the dataset:
-// every query then records which treelets, heatmap cells, and attributes
-// it touched, and a structured record of itself in the recorder's
-// recent-query ring. Applies to open and future leaf files; nil detaches
-// (future queries pay only nil checks).
-func (d *Dataset) SetAccessRecorder(rec *AccessRecorder) {
-	d.mu.Lock()
-	d.accessRec = rec
-	type leafSlotAt struct {
-		li int
-		s  *leafSlot
-	}
-	slots := make([]leafSlotAt, 0, len(d.files))
-	for li, s := range d.files {
-		slots = append(slots, leafSlotAt{li, s})
-	}
-	d.mu.Unlock()
-	for _, ls := range slots {
-		<-ls.s.ready
-		if ls.s.err == nil {
-			ls.s.f.SetAccessRecorder(rec, ls.li)
-		}
-	}
-}
-
-// AccessRecorder returns the attached recorder (nil when telemetry is off).
-func (d *Dataset) AccessRecorder() *AccessRecorder {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.accessRec
-}
-
-// CacheStats aggregates treelet cache counters across open leaf files.
-func (d *Dataset) CacheStats() CacheStats {
-	d.mu.Lock()
-	slots := d.openSlotsLocked()
-	d.mu.Unlock()
-	var total CacheStats
-	for _, s := range slots {
-		<-s.ready
-		if s.err == nil {
-			st := s.f.CacheStats()
-			total.Hits += st.Hits
-			total.Misses += st.Misses
-			total.Evictions += st.Evictions
-			total.Entries += st.Entries
-			total.Bytes += st.Bytes
-		}
-	}
-	return total
-}
-
-func (d *Dataset) openSlotsLocked() []*leafSlot {
-	out := make([]*leafSlot, 0, len(d.files))
-	for _, s := range d.files {
-		out = append(out, s)
-	}
-	return out
-}
-
-func (d *Dataset) perLeafLimitLocked() int64 {
-	if d.cacheLimit <= 0 {
-		return 0
-	}
-	n := int64(len(d.meta.Leaves))
-	if n < 1 {
-		n = 1
-	}
-	per := d.cacheLimit / n
-	if per < 1 {
-		per = 1
-	}
-	return per
-}
-
-// Schema returns the dataset's attribute schema.
-func (d *Dataset) Schema() Schema { return d.meta.Schema }
-
-// Bounds returns the dataset's spatial domain.
-func (d *Dataset) Bounds() Box { return d.meta.Domain }
-
-// NumParticles returns the dataset's total particle count.
-func (d *Dataset) NumParticles() int64 { return d.meta.TotalCount() }
-
-// NumFiles returns the number of leaf files.
-func (d *Dataset) NumFiles() int { return len(d.meta.Leaves) }
-
-// Compression returns the dataset's codec declaration from the top-level
-// metadata, or nil when the leaf files are uncompressed.
-func (d *Dataset) Compression() *CompressionMeta {
-	if d.meta.Compression == nil {
-		return nil
-	}
-	cm := *d.meta.Compression
-	cm.ErrorBounds = append([]float64(nil), cm.ErrorBounds...)
-	return &cm
-}
-
-// AttrRange returns the global value range of an attribute.
-func (d *Dataset) AttrRange(attr int) (min, max float64, err error) {
-	if attr < 0 || attr >= d.meta.Schema.NumAttrs() {
-		return 0, 0, fmt.Errorf("libbat: attribute %d out of range", attr)
-	}
-	r := d.meta.GlobalRanges[attr]
-	return r.Min, r.Max, nil
-}
-
-// leaf opens (and caches) leaf file li. Concurrent callers for the same
-// unopened leaf block on one open; open errors are not cached, so the next
-// caller retries. The singleflight carries the same detach semantics as
-// the treelet cache: a canceled waiter returns ctx.Err() without touching
-// the shared slot, and a waiter whose own ctx is live retries after the
-// opening goroutine died of its caller's cancellation.
-func (d *Dataset) leaf(ctx context.Context, li int) (*bat.File, error) {
-	var s *leafSlot
-	for {
-		d.mu.Lock()
-		var ok bool
-		if s, ok = d.files[li]; !ok {
-			break
-		}
-		d.mu.Unlock()
-		select {
-		case <-s.ready:
-		case <-ctx.Done():
-			return nil, ctx.Err() // detach; the open continues without us
-		}
-		if s.err == nil {
-			return s.f, nil
-		}
-		if pfs.IsContextErr(s.err) && ctx.Err() == nil {
-			continue // the opener was canceled, we were not: retry
-		}
-		return nil, s.err
-	}
-	s = &leafSlot{ready: make(chan struct{})}
-	d.files[li] = s
-	cfg, per, col, labels, rec := d.qcfg, d.perLeafLimitLocked(), d.col, d.obsLabels, d.accessRec
-	d.mu.Unlock()
-
-	s.f, s.err = d.openLeaf(ctx, li, cfg, per, col, labels, rec)
-	if s.err != nil {
-		d.mu.Lock()
-		if d.files[li] == s {
-			delete(d.files, li)
-		}
-		d.mu.Unlock()
-	}
-	close(s.ready)
-	return s.f, s.err
-}
-
-func (d *Dataset) openLeaf(ctx context.Context, li int, cfg QueryConfig, cacheLimit int64, col *obs.Collector, labels []obs.Label, rec *access.Recorder) (*bat.File, error) {
-	h, err := pfs.OpenContext(ctx, d.store, d.meta.Leaves[li].FileName)
-	if err != nil {
-		return nil, err
-	}
-	f, err := bat.DecodeCtx(ctx, h, h.Size())
-	if err != nil {
-		h.Close()
-		return nil, err
-	}
-	f.SetCloser(h)
-	f.SetQueryConfig(cfg)
-	f.SetCacheLimit(cacheLimit)
-	if col != nil {
-		f.SetObserver(col, labels...)
-	}
-	if rec != nil {
-		f.SetAccessRecorder(rec, li)
-	}
-	return f, nil
-}
-
-// Query runs a visualization read over the whole dataset (paper §V): the
-// Aggregation Tree prunes leaf files spatially and by attribute bitmap
-// before each surviving file's BAT is traversed. Progressive quality
-// windows apply per leaf file.
-func (d *Dataset) Query(q Query, visit Visitor) error {
-	_, err := d.QueryBatches(context.Background(), "dataset", q, visit.Batches())
-	return err
-}
-
-// QueryBatches is the dataset's query entry point, which every other
-// query method consumes: the Aggregation Tree prunes leaf files, then each
-// surviving leaf's engine hands visit one batch per treelet with matches.
-// source tags the query in the access-telemetry recent-query log (e.g.
-// "batserve:/points"). When ctx ends, leaf opens and treelet traversals
-// abort promptly and ctx.Err() is returned; leaf files and treelets
-// already cached stay valid for later queries.
-func (d *Dataset) QueryBatches(ctx context.Context, source string, q Query, visit BatchVisitor) (QueryStats, error) {
-	d.mu.Lock()
-	rec, workers := d.accessRec, d.qcfg.Workers
-	d.mu.Unlock()
-
-	var filters []meta.AttrFilter
-	for _, f := range q.Filters {
-		filters = append(filters, meta.AttrFilter{Attr: f.Attr, Min: f.Min, Max: f.Max})
-	}
-	selected := d.meta.SelectLeaves(q.Bounds, filters)
-
-	var start time.Time
-	var before CacheStats
-	if rec != nil {
-		start, before = time.Now(), d.CacheStats()
-	}
-	var total QueryStats
-	var qerr error
-	for _, li := range selected {
-		f, err := d.leaf(ctx, li)
-		if err != nil {
-			qerr = err
-			break
-		}
-		st, err := f.QueryBatches(ctx, q, visit)
-		total.Add(st)
-		if err != nil {
-			qerr = err
-			break
-		}
-	}
-	if rec == nil {
-		return total, qerr
-	}
-	after := d.CacheStats()
-	// Cache hit ratio over this query's lookups, from the counter delta.
-	// Approximate when queries overlap — concurrent lookups land in the
-	// same window — but exact in the common serial-server case.
-	var ratio float64
-	lookups := (after.Hits - before.Hits) + (after.Misses - before.Misses)
-	if lookups > 0 {
-		ratio = float64(after.Hits-before.Hits) / float64(lookups)
-	}
-	recFilters := make([]access.FilterRange, len(q.Filters))
-	for i, flt := range q.Filters {
-		name := fmt.Sprintf("attr%d", flt.Attr)
-		if flt.Attr >= 0 && flt.Attr < d.meta.Schema.NumAttrs() {
-			name = d.meta.Schema.Attrs[flt.Attr].Name
-		}
-		recFilters[i] = access.FilterRange{Attr: name, Min: flt.Min, Max: flt.Max}
-	}
-	rec.Record(access.QueryRecord{
-		Source:         source,
-		Box:            access.BoxRecord(q.Bounds),
-		Filters:        recFilters,
-		PrevQuality:    q.PrevQuality,
-		Quality:        q.Quality,
-		Workers:        workers,
-		Treelets:       total.Treelets,
-		Particles:      total.Visited,
-		Pruned:         total.PrunedSubtrees,
-		FalsePositives: total.FalsePositives,
-		Seconds:        time.Since(start).Seconds(),
-		CacheHitRatio:  ratio,
-	})
-	return total, qerr
-}
-
-// Count returns the number of particles a query would visit.
-func (d *Dataset) Count(q Query) (int64, error) {
-	return d.CountCtx(context.Background(), q)
-}
-
-// CountCtx is Count honoring ctx.
-func (d *Dataset) CountCtx(ctx context.Context, q Query) (int64, error) {
-	st, err := d.QueryBatches(ctx, "dataset", q, func(*Batch) error { return nil })
-	return st.Visited, err
-}
-
-// ReadAll collects every particle into one set.
-func (d *Dataset) ReadAll() (*ParticleSet, error) {
-	out := particles.NewSet(d.meta.Schema, int(d.meta.TotalCount()))
-	_, err := d.QueryBatches(context.Background(), "dataset", Query{}, bat.Collect(out))
-	return out, err
-}
-
-// LeafInfo describes one leaf file of a dataset.
-type LeafInfo struct {
-	FileName string
-	Bounds   Box
-	Count    int64
-}
-
-// Leaves returns the dataset's leaf files in aggregation order.
-func (d *Dataset) Leaves() []LeafInfo {
-	out := make([]LeafInfo, len(d.meta.Leaves))
-	for i, l := range d.meta.Leaves {
-		out[i] = LeafInfo{FileName: l.FileName, Bounds: l.Bounds, Count: l.Count}
-	}
-	return out
-}
-
-// Histogram bins the values of one attribute matched by a query into
-// `bins` equal-width buckets over the attribute's global range — a typical
-// analysis pass over the layout. Quality below 1 computes the histogram
-// from the LOD subset only, trading exactness for latency (§V-B).
-func (d *Dataset) Histogram(attr, bins int, q Query) ([]int64, error) {
-	if attr < 0 || attr >= d.meta.Schema.NumAttrs() {
-		return nil, fmt.Errorf("libbat: attribute %d out of range", attr)
-	}
-	if bins < 1 {
-		return nil, fmt.Errorf("libbat: need at least 1 bin")
-	}
-	r := d.meta.GlobalRanges[attr]
-	width := r.Max - r.Min
-	out := make([]int64, bins)
-	_, err := d.QueryBatches(context.Background(), "dataset", q, func(b *Batch) error {
-		col := b.Attrs[attr]
-		for _, j := range b.Sel {
-			k := 0
-			if width > 0 {
-				k = min(max(int((col[j]-r.Min)/width*float64(bins)), 0), bins-1)
-			}
-			out[k]++
-		}
-		return nil
-	})
-	return out, err
+	return core.OpenDataset(context.Background(), store, base)
 }

@@ -79,17 +79,20 @@ run "go test -race compression" env GOMAXPROCS=4 go test -race -run 'TestCompres
 # single-core runners.
 run "go test -race query engine" env GOMAXPROCS=4 go test -race -run 'TestConcurrent|TestParallel|TestOrdered|TestCache|TestFileCache|TestReadahead|TestCloseWaits|TestFileLevel|TestBatch|TestQueryAllocs|TestEngineOracle' ./internal/bat/ .
 run "go test -race batserve" env GOMAXPROCS=4 go test -race ./cmd/batserve/
-run "go test -race Dataset" env GOMAXPROCS=4 go test -race -run 'TestDataset' .
+# The Dataset reader and the collective read served through it: leaf
+# singleflight, cache counters beside stalled opens, leaf-naming errors,
+# and the collective oracle at 1 and 4 reader ranks.
+run "go test -race Dataset" env GOMAXPROCS=4 go test -race -run 'TestDataset|TestCollective' .
 
 # Chaos-latency: the cancellation/deadline suites across every read-path
 # layer under combined error+latency injection — cancel storms against the
-# traversal engine, singleflight detach, stalled-mount 504s, batserve
-# kill/restart cycles. The short -timeout means a wedged goroutine fails
+# traversal engine, singleflight detach, warm queries beside a stalled
+# open, stalled-mount 504s, batserve kill/restart cycles. The short -timeout means a wedged goroutine fails
 # the stage with a full goroutine dump (go test's panic output; leak
 # failures print their own dump via internal/leakcheck) instead of hanging
 # the script.
 run "go test -race chaos-latency" env GOMAXPROCS=4 go test -race -timeout 120s \
-	-run 'TestChaos|TestCancel|TestReadQueryCtx|TestDatasetQueryCtx|TestAdmission' \
+	-run 'TestChaos|TestCancel|TestReadQueryCtx|TestDatasetQueryCtx|TestDatasetCacheStats|TestAdmission' \
 	./internal/bat/ ./internal/core/ ./cmd/batserve/ .
 
 # Bench smoke: one iteration of every BAT build benchmark, just to keep the
